@@ -148,3 +148,20 @@ def flush_on_power_failure(logm, image, layout, *,
         flushed = blob[:max_lines * CACHE_LINE_BYTES]
     image.persist(base, flushed)
     return blob
+
+
+def truncation_changed_block(blob: bytes, image, layout, mc_id: int,
+                             max_lines: int) -> bool:
+    """True when a ``max_lines`` budget left the ADR block unlike ``blob``.
+
+    Call after :func:`flush_on_power_failure`.  The bytes past the
+    budget keep the block's stale contents; when those already equal
+    the dropped tail (say, zeros the full flush would have written over
+    zeros), the truncation changed nothing durable and the block still
+    validates.
+    """
+    cut = max_lines * CACHE_LINE_BYTES
+    if len(blob) <= cut:
+        return False
+    stale = image.durable_read(layout.adr_base(mc_id) + cut, len(blob) - cut)
+    return bytes(stale) != blob[cut:]

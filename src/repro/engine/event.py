@@ -122,6 +122,10 @@ class Engine:
         self._virtual = 0
         self._running = False
         self._stop_requested = False
+        self._pause_pending = False
+        #: True from the dispatch of a :meth:`pause_at` marker until the
+        #: next :meth:`run`.
+        self.paused = False
 
     # -- scheduling -------------------------------------------------------
 
@@ -246,6 +250,41 @@ class Engine:
         # wraps ``fn`` once — the fallback must not wrap it twice.
         Engine.post(self, 0, fn)
 
+    # -- pausing ----------------------------------------------------------
+
+    def pause_at(self, time: int, origin: int = 0) -> None:
+        """Make :meth:`run` return at cycle ``time``, with nothing lost.
+
+        The stop marker sorts as an entry queued when the insertion
+        counter stood at ``origin`` (see :attr:`seq`) would: after every
+        entry for ``time`` queued before that, ahead of every entry
+        queued since.  A pause with the ``origin`` of a run's start
+        therefore fires exactly where a stop event scheduled before that
+        run would, however many runs and pauses came in between.  Like
+        such an event it is a live queued entry: the engine is not idle
+        while it is pending, and it bounds :meth:`peek_time`, so slot
+        batching and ``call_soon`` fusion never retire work at or past
+        it inline.  :attr:`paused` reads True from its dispatch until
+        the next ``run``, which continues from exactly the paused state.
+        One pause may be pending at a time.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot pause at {time}, now is {self.now}"
+            )
+        if self._pause_pending:
+            raise SimulationError("a pause is already pending")
+        self._pause_pending = True
+        self._live += 1
+        # Half a step below ``origin``: between the int seqs of the
+        # entries queued before and after it, so the key stays unique.
+        heapq.heappush(self._queue, (time, origin - 0.5, self._pause, None))
+
+    def _pause(self) -> None:
+        self._pause_pending = False
+        self.paused = True
+        self._stop_requested = True
+
     # -- execution --------------------------------------------------------
 
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
@@ -260,6 +299,7 @@ class Engine:
             raise SimulationError("engine.run() re-entered")
         self._running = True
         self._stop_requested = False
+        self.paused = False
         dispatched = 0
         queue = self._queue
         heappop = heapq.heappop
@@ -328,6 +368,11 @@ class Engine:
         self._stop_requested = True
 
     # -- introspection ----------------------------------------------------
+
+    @property
+    def seq(self) -> int:
+        """The insertion counter: the seq of the next queued entry."""
+        return self._seq
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued (O(1))."""

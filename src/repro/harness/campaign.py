@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import atexit
 import dataclasses
+import gc
 import heapq
 import itertools
 import multiprocessing
 import os
 import pickle
+import sys
 import time
 import traceback
 from collections import deque
@@ -114,9 +116,10 @@ def _run_worker(spec: RunSpec) -> tuple:
                        f"{traceback.format_exc()}")
 
 
-def _crash_worker(spec: "CrashSpec") -> tuple:
+def _crash_worker(spec: "CrashSpec", keep_prefix: bool = True) -> tuple:
     try:
-        return ("ok", _crash_outcome_dict(execute_crash_point(spec)))
+        return ("ok", _crash_outcome_dict(
+            execute_crash_point(spec, keep_prefix=keep_prefix)))
     except BaseException as exc:  # noqa: BLE001
         return ("err", f"{spec!r}\n{type(exc).__name__}: {exc}\n"
                        f"{traceback.format_exc()}")
@@ -837,9 +840,38 @@ class Campaign:
     # -- crash sweep ----------------------------------------------------------
 
     def run_crash(self, specs: Sequence["CrashSpec"]) -> list["CrashOutcome"]:
-        """Differential-check a batch of crash points (cached, pooled)."""
-        return self._map(list(specs), _crash_worker,
-                         _crash_outcome_from_dict, "crash")
+        """Differential-check a batch of crash points (cached, pooled).
+
+        Points go out grouped by prefix key, in increasing crash cycle,
+        so each process advances one held prefix per group (see
+        :func:`execute_crash_point`); outcomes come back in submission
+        order.  Run inline, the last point of a group crashes the held
+        machine in place instead of forking.
+        """
+        specs = list(specs)
+        keys = [_prefix_key(s) for s in specs]
+        first: dict[tuple, int] = {}
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
+        order = sorted(range(len(specs)),
+                       key=lambda i: (first[keys[i]], specs[i].crash_cycle))
+        worker = _crash_worker
+        if self.jobs == 1:
+            last = {id(specs[i]) for i, j in zip(order, order[1:] + [None])
+                    if j is None or keys[j] != keys[i]}
+
+            def worker(spec):
+                return _crash_worker(spec, keep_prefix=id(spec) not in last)
+
+        try:
+            done = self._map([specs[i] for i in order], worker,
+                             _crash_outcome_from_dict, "crash")
+        finally:
+            release_prefix()
+        out: list = [None] * len(specs)
+        for i, outcome in zip(order, done):
+            out[i] = outcome
+        return out
 
     # -- litmus points --------------------------------------------------------
 
@@ -922,36 +954,173 @@ def _crash_outcome_from_dict(payload: dict) -> CrashOutcome:
     )
 
 
-def execute_crash_point(spec: CrashSpec) -> CrashOutcome:
-    """Run one crash point through the shared testbed path and check it.
+# -- shared crash-point prefixes ----------------------------------------------
+#
+# The points of a sweep that differ only in crash cycle run one machine up
+# to different cycles.  Each process therefore holds one live, uncrashed
+# *prefix* machine.  A point whose prefix key matches advances it to the
+# point's crash cycle and forks; the child cuts power, recovers and checks,
+# and sends the verdict back over a pipe, while the parent's machine stays
+# intact for the next, later crash cycle.  Any other point first builds a
+# fresh prefix, so both cases run the one path below.
+
+
+def _prefix_key(spec: CrashSpec) -> tuple:
+    """Every spec field except the crash cycle: equal keys share a prefix."""
+    return tuple(repr(getattr(spec, f.name))
+                 for f in dataclasses.fields(spec) if f.name != "crash_cycle")
+
+
+@dataclass
+class _Prefix:
+    """The live machine shared by the crash points of one prefix key."""
+
+    key: tuple
+    system: object
+    workload: object
+    #: False once the machine stopped other than at a pause (threads
+    #: finished, or the cycle budget ran out): it is never advanced
+    #: again, and any later crash cycle cuts power where it stopped.
+    paused: bool = True
+
+    def serves(self, key: tuple, crash_cycle: int) -> bool:
+        now = self.system.engine.now
+        return key == self.key and (
+            crash_cycle >= now if self.paused else crash_cycle > now)
+
+
+#: This process's held prefix (see :func:`execute_crash_point`).  It is
+#: per process, not per campaign, because pool workers reach points
+#: only through the top-level :func:`_crash_worker`.
+_held: _Prefix | None = None
+
+
+def release_prefix() -> None:
+    """Drop this process's held prefix and recycle its image buffers."""
+    global _held
+    held, _held = _held, None
+    if held is not None:
+        held.system.image.recycle()
+
+
+def execute_crash_point(spec: CrashSpec, *,
+                        keep_prefix: bool = True) -> CrashOutcome:
+    """Run one crash point on this process's shared prefix and check it.
+
+    Exactly equivalent to a fresh :func:`repro.harness.testbed.crash_run`
+    per point; cheaper when consecutive points share a prefix key and
+    come in increasing crash cycle, the order
+    :meth:`Campaign.run_crash` dispatches them in.  Relies on
+    ``os.fork``.  ``keep_prefix=False`` says no later point will share
+    the prefix: the held machine is then crashed in place, saving the
+    fork, and released.
 
     A failed differential check (or a modelled-hardware deadlock) is an
     *outcome*, not an infrastructure error — it is recorded with
     ``ok=False`` so a sweep reports every divergence instead of dying on
     the first one.
     """
-    from repro.harness.testbed import crash_run
+    global _held
+    from repro.harness.testbed import advance, build_prefix
 
+    key = _prefix_key(spec)
     try:
-        system, workload, report = crash_run(
-            spec.workload, spec.design, spec.crash_cycle, seed=spec.seed,
-            entry_bytes=spec.entry_bytes, threads=spec.threads,
-            txns_per_thread=spec.txns_per_thread,
-            initial_items=spec.initial_items, num_cores=spec.num_cores,
-            **spec.workload_kw,
-        )
+        if _held is None or not _held.serves(key, spec.crash_cycle):
+            release_prefix()
+            system, workload = build_prefix(
+                spec.workload, spec.design, seed=spec.seed,
+                entry_bytes=spec.entry_bytes, threads=spec.threads,
+                txns_per_thread=spec.txns_per_thread,
+                initial_items=spec.initial_items, num_cores=spec.num_cores,
+                **spec.workload_kw,
+            )
+            _held = _Prefix(key, system, workload)
+        held = _held
+        if held.paused:
+            held.paused = advance(held.system, spec.crash_cycle)
     except (WorkloadError, SimulationError) as exc:
+        release_prefix()
         return CrashOutcome(spec=spec, ok=False,
                             error=f"{type(exc).__name__}: {exc}")
+    except BaseException:
+        release_prefix()
+        raise
+    if keep_prefix:
+        return CrashOutcome(spec=spec, **_check_in_child(spec, held))
+    _held = None
+    try:
+        return CrashOutcome(spec=spec,
+                            **_check_point(held.system, held.workload))
+    finally:
+        held.system.image.recycle()
+
+
+def _check_point(system, workload) -> dict:
+    """Crash-and-check one point: its :class:`CrashOutcome` fields."""
+    from repro.harness.testbed import crash_and_check
+
+    try:
+        report = crash_and_check(system, workload)
+    except (WorkloadError, SimulationError) as exc:
+        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
     cost = getattr(report, "cost", None)
-    outcome = CrashOutcome(
-        spec=spec, ok=True, commits=workload.commits,
-        updates_rolled_back=getattr(report, "updates_rolled_back", 0),
-        recovery_cost=cost.to_dict() if cost is not None else {},
-    )
-    # The system was private to this point; recycle the image buffers.
-    system.image.recycle()
-    return outcome
+    return {
+        "ok": True, "commits": workload.commits,
+        "updates_rolled_back": getattr(report, "updates_rolled_back", 0),
+        "recovery_cost": cost.to_dict() if cost is not None else {},
+    }
+
+
+def _check_in_child(spec: CrashSpec, held: _Prefix) -> dict:
+    """Run :func:`_check_point` on ``held`` in a forked child.
+
+    The child works on a copy-on-write image of this process, so the
+    held machine stays live and uncrashed.  It leaves through
+    ``os._exit`` on every path: it runs no ``atexit`` handler, flushes
+    no inherited stdio and writes to no pipe but its own.  A child that
+    dies raises :class:`CampaignError`; no partial outcome is returned.
+    """
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 70
+        try:
+            os.close(read_fd)
+            gc.disable()  # short-lived: spare the copy-on-write pages
+            try:
+                reply = ("ok", _check_point(held.system, held.workload))
+            except BaseException as exc:  # noqa: BLE001 — sent to parent
+                reply = ("err", f"{type(exc).__name__}: {exc}\n"
+                                f"{traceback.format_exc()}")
+            frame = memoryview(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+            while frame:
+                frame = frame[os.write(write_fd, frame):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            frame = pipe.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    where = describe_spec(spec, kind="crash")
+    if code != 0:
+        raise CampaignError(f"crash-point child died (exit code {code}) "
+                            f"on point [{where}]")
+    status, payload = pickle.loads(frame)
+    if status != "ok":
+        raise CampaignError(f"crash-point child failed on point "
+                            f"[{where}]:\n{payload}")
+    return payload
 
 
 #: Designs with a recovery story (the crash sweep's default axis).

@@ -5,8 +5,8 @@ submits them **as one batch** to a :class:`~repro.harness.campaign.Campaign`
 (worker-pool fan-out plus the content-addressed result cache), and
 returns an :class:`ExperimentResult` holding measured rows, the paper's
 reported values, and a rendered report.  ``run_experiment(name)`` is the
-public entry point; the CLI, the benchmark suite and the EXPERIMENTS.md
-generator all go through it.
+public entry point; the CLI and the benchmark suite both go through it,
+and EXPERIMENTS.md records how their numbers compare with the paper's.
 
 Passing no campaign runs the points serially and uncached — exactly the
 old single-process behaviour.  ``python -m repro.harness`` constructs a

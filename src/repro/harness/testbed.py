@@ -4,8 +4,8 @@ Both the unit-test suite (``tests/helpers.py``) and the benchmark
 fixtures (``benchmarks/conftest.py``) import these helpers, so the
 machine a test exercises and the machine a benchmark smoke-checks can
 never silently drift apart.  The campaign layer's crash sweep
-(:mod:`repro.harness.campaign`) drives :func:`crash_run` as well — the
-same code path the crash-matrix tests use.
+(:mod:`repro.harness.campaign`) drives the phases of :func:`crash_run`
+as well — the same code path the crash-matrix tests use.
 """
 
 from __future__ import annotations
@@ -70,13 +70,14 @@ def run_workload_to_completion(system, workload, max_cycles=50_000_000):
     return system.run(max_cycles=max_cycles)
 
 
+#: Cycle budget of a crash run: a machine still running at this cycle is
+#: cut there, whatever its crash cycle.
+CRASH_MAX_CYCLES = 30_000_000
+
+
 def crash_run(name: str, design: Design, crash_cycle: int | None, *,
-              entry_bytes: int = 512, seed: int = 7, threads: int = 4,
-              txns_per_thread: int = 8, initial_items: int = 12,
-              num_cores: int = 4, max_cycles: int = 30_000_000,
-              injector=None, verify: bool = True, instrument=None,
-              line_checksums: bool = False, storm_seed: int | None = None,
-              **kw):
+              max_cycles: int = CRASH_MAX_CYCLES, verify: bool = True,
+              storm_seed: int | None = None, **kw):
     """Run a workload, crash it, recover, and differential-check.
 
     Builds a scaled-down machine, runs ``threads`` worker threads, cuts
@@ -85,22 +86,39 @@ def crash_run(name: str, design: Design, crash_cycle: int | None, *,
     replayed over exactly the committed transactions.  Raises
     :class:`~repro.common.errors.WorkloadError` on any divergence.
 
+    The three phases are public so a caller can share one prefix among
+    several crash cycles: :func:`build_prefix` (keywords are passed to
+    it), :func:`advance` and :func:`crash_and_check`.  ``verify`` and
+    ``storm_seed`` belong to the last.
+
+    Returns ``(system, workload, recovery_report)``.
+    """
+    system, workload = build_prefix(name, design, **kw)
+    advance(system, crash_cycle, max_cycles)
+    report = crash_and_check(system, workload, verify=verify,
+                             storm_seed=storm_seed)
+    return system, workload, report
+
+
+def build_prefix(name: str, design: Design, *, entry_bytes: int = 512,
+                 seed: int = 7, threads: int = 4, txns_per_thread: int = 8,
+                 initial_items: int = 12, num_cores: int = 4,
+                 injector=None, instrument=None,
+                 line_checksums: bool = False, **kw):
+    """Build phase of a crash run: the machine, populated, threads started.
+
     ``injector`` (a :class:`repro.faults.models.FaultInjector`) turns
     the power cut into a partial failure; the fault sweep passes
-    ``verify=False`` and applies its own per-model verdict instead of
-    the unconditional differential check.
+    ``verify=False`` to :func:`crash_run` and applies its own per-model
+    verdict instead of the unconditional differential check.
 
     ``instrument`` (an observability hook, e.g. ``Tracer.install``) is
     called with the built system before the workload starts.
 
     ``line_checksums`` enables the per-data-line checksum plane on the
-    memory image (media-fault detection).  ``storm_seed`` replaces the
-    single recovery pass with a seeded crash storm
-    (:func:`repro.faults.storm.storm_recover`); the merged report is
-    returned with the :class:`~repro.faults.storm.StormReport` attached
-    as ``report.storm``.
+    memory image (media-fault detection).
 
-    Returns ``(system, workload, recovery_report)``.
+    Returns ``(system, workload)``.
     """
     from repro.workloads import make_workload
 
@@ -117,13 +135,37 @@ def crash_run(name: str, design: Design, crash_cycle: int | None, *,
     )
     workload.setup()
     system.start_threads(workload.threads())
-    if crash_cycle is not None:
-        system.crash_at(crash_cycle)
-    system.run(max_cycles=max_cycles)
-    if not system.crashed:
-        # Either no crash was requested, or every thread finished before
-        # the scheduled cycle: cut power now (nothing rolls back).
-        system.crash()
+    return system, workload
+
+
+def advance(system, crash_cycle: int | None,
+            max_cycles: int = CRASH_MAX_CYCLES) -> bool:
+    """Advance phase: run the machine up to its power cut.
+
+    Stops ahead of every event of ``crash_cycle`` (a pause, see
+    :meth:`repro.runtime.system.System.run`), or when every thread has
+    finished (``crash_cycle`` of ``None`` always runs to completion),
+    or at ``max_cycles``.  Returns True when the machine paused at
+    ``crash_cycle``; it may then be advanced again to a later cycle.
+    Otherwise the machine stopped for good at ``system.engine.now``:
+    advancing it again would dispatch background work that a crash at
+    that cycle never sees.
+    """
+    system.run(max_cycles=max_cycles, pause_at=crash_cycle)
+    return system.engine.paused
+
+
+def crash_and_check(system, workload, *, verify: bool = True,
+                    storm_seed: int | None = None):
+    """Crash-and-check phase: cut power now, recover, differential-check.
+
+    ``storm_seed`` replaces the single recovery pass with a seeded crash
+    storm (:func:`repro.faults.storm.storm_recover`); the merged report
+    is returned with the :class:`~repro.faults.storm.StormReport`
+    attached as ``report.storm``.  ``verify=False`` skips the
+    differential check.  Returns the recovery report.
+    """
+    system.crash()
     if storm_seed is not None:
         from repro.faults.storm import storm_recover
 
@@ -135,4 +177,4 @@ def crash_run(name: str, design: Design, crash_cycle: int | None, *,
         report.storm = None
     if verify:
         workload.verify_durable()
-    return system, workload, report
+    return report

@@ -26,7 +26,7 @@ from repro.coherence.l1 import L1Cache
 from repro.coherence.victim import VictimCache
 from repro.common.errors import SimulationError
 from repro.common.stats import Stats
-from repro.common.units import CACHE_LINE_BYTES, throughput_per_second
+from repro.common.units import throughput_per_second
 from repro.config import Design, SystemConfig
 from repro.cpu.core import Core
 from repro.cpu.lockmgr import LockManager
@@ -159,6 +159,8 @@ class System:
         #: the top of crash(), before any state mutates).
         self.crash_windows: list[str] = []
         self._crashed = False
+        #: Engine insertion counter at the first ``run`` (pause origin).
+        self._run_origin: int | None = None
         self._done_cores: set[int] = set()
         #: Commit broadcasts in flight: core -> {info, cleared, total}.
         #: The durability point of an undo-logged transaction is the
@@ -233,11 +235,18 @@ class System:
             self._done_cores.add(core.core_id)
 
     def run(self, max_cycles: int | None = None,
-            max_events: int | None = None) -> int:
+            max_events: int | None = None,
+            pause_at: int | None = None) -> int:
         """Run until all threads finish (or a limit hits).
 
         Returns the finish cycle.  Raises when the engine goes idle with
         unfinished threads — a deadlock in the modelled hardware.
+
+        ``pause_at`` stops the run at that cycle (:meth:`Engine.pause_at`)
+        where a crash scheduled for it just before the *first* run would
+        fire, leaving the machine intact: ``engine.paused`` then reads
+        True, and a following ``run`` or :meth:`crash` sees exactly the
+        state that crash would have seen.
 
         The cyclic garbage collector is suspended for the duration of
         the loop: event callbacks are closure/generator-heavy and the
@@ -246,22 +255,27 @@ class System:
         reclaims the vast majority of event garbage immediately; the
         cycles are swept when the collector is re-enabled.
         """
+        engine = self.engine
+        if self._run_origin is None:
+            self._run_origin = engine.seq
+        if pause_at is not None:
+            engine.pause_at(pause_at, self._run_origin)
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
             while True:
-                dispatched = self.engine.run(until=max_cycles,
-                                             max_events=max_events)
-                if self._crashed:
+                dispatched = engine.run(until=max_cycles,
+                                        max_events=max_events)
+                if self._crashed or engine.paused:
                     break
                 if len(self._done_cores) >= len(self.cores):
                     break
-                if max_cycles is not None and self.engine.now >= max_cycles:
+                if max_cycles is not None and engine.now >= max_cycles:
                     break
                 if max_events is not None:
                     break
-                if dispatched == 0 and self.engine.idle():
+                if dispatched == 0 and engine.idle():
                     stuck = [c.core_id for c in self.cores if not c.done]
                     raise SimulationError(
                         f"deadlock: engine idle with cores {stuck} unfinished"
@@ -269,7 +283,7 @@ class System:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        return self.engine.now
+        return engine.now
 
     def all_done(self) -> bool:
         """True once every thread has finished."""
@@ -367,7 +381,8 @@ class System:
                 blob = adr_mod.flush_on_power_failure(
                     mc.logm, self.image, self.layout, max_lines=budget
                 )
-                if budget is not None and len(blob) > budget * CACHE_LINE_BYTES:
+                if budget is not None and adr_mod.truncation_changed_block(
+                        blob, self.image, self.layout, mc.mc_id, budget):
                     inj.note_adr_truncated(mc.mc_id)
                 if trc is not None:
                     trc.adr_flush(mc.mc_id, len(blob), self.engine.now)

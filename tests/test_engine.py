@@ -228,6 +228,68 @@ class TestStopSemantics:
         assert engine.now == 50
 
 
+class TestPause:
+    """``pause_at`` stops where a stop event queued at ``origin`` would."""
+
+    def test_pause_fires_ahead_of_events_queued_since_origin(self):
+        engine = Engine()
+        order = []
+        engine.at(10, lambda: order.append("early"))
+        origin = engine.seq
+        engine.post_at(10, lambda: order.append("late"))
+        engine.pause_at(10, origin)
+        engine.run()
+        assert engine.paused and engine.now == 10
+        assert order == ["early"]
+        engine.run()
+        assert not engine.paused
+        assert order == ["early", "late"]
+
+    def test_pause_matches_a_stop_event_queued_at_origin(self):
+        def trace(pause: bool):
+            engine = Engine()
+            order = []
+            engine.at(5, lambda: order.append(("a", engine.now)))
+            origin = engine.seq
+            if not pause:
+                engine.at(5, engine.stop)
+            engine.at(3, lambda: engine.post(2, lambda: order.append(
+                ("b", engine.now))))
+            if pause:
+                engine.pause_at(5, origin)
+            engine.run()
+            return order, engine.now, engine.pending()
+
+        assert trace(pause=True) == trace(pause=False)
+
+    def test_pause_bounds_peek_time_and_keeps_engine_busy(self):
+        engine = Engine()
+        engine.pause_at(40)
+        assert engine.peek_time() == 40
+        assert not engine.idle()
+        engine.run()
+        assert engine.paused and engine.now == 40 and engine.idle()
+
+    def test_pause_beyond_horizon_stays_pending(self):
+        engine = Engine()
+        engine.pause_at(100)
+        engine.run(until=50)
+        assert not engine.paused and engine.now == 50
+        assert engine.pending() == 1
+
+    def test_one_pause_at_a_time_and_never_in_the_past(self):
+        engine = Engine()
+        engine.pause_at(10)
+        with pytest.raises(SimulationError):
+            engine.pause_at(20)
+        engine.run()
+        with pytest.raises(SimulationError):
+            engine.pause_at(5)
+        engine.pause_at(10)  # the current cycle is allowed
+        engine.run()
+        assert engine.paused and engine.now == 10
+
+
 class TestTieBreaking:
     """The determinism contract the crash tests rely on: equal
     timestamps dispatch in insertion order, across every scheduling

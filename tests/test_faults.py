@@ -292,6 +292,29 @@ class TestAdrValidation:
         assert again.adr_invalid == 0  # the block was cleared
         assert system.image.durable_digest() == digest
 
+    def test_truncation_dropping_only_stale_bytes_changes_nothing(
+            self, system):
+        _stage_incomplete_update(system)
+        logm = system.controllers[0].logm
+        adr.flush_on_power_failure(logm, system.image, system.layout)
+        blob = adr.flush_on_power_failure(logm, system.image, system.layout,
+                                          max_lines=1)
+        assert len(blob) > CACHE_LINE_BYTES
+        assert not adr.truncation_changed_block(
+            blob, system.image, system.layout, 0, max_lines=1)
+        adr.deserialize(system.image.durable_read(
+            system.layout.adr_base(0), system.layout.adr_block_bytes
+        ))  # still validates
+
+    def test_truncation_over_a_different_block_is_a_change(self, system):
+        _stage_incomplete_update(system)
+        blob = adr.flush_on_power_failure(
+            system.controllers[0].logm, system.image, system.layout,
+            max_lines=1,
+        )
+        assert adr.truncation_changed_block(
+            blob, system.image, system.layout, 0, max_lines=1)
+
     def test_full_flush_still_roundtrips(self, system):
         state = _stage_incomplete_update(system)
         adr.flush_on_power_failure(
@@ -358,6 +381,21 @@ class TestFaultPoints:
         assert outcome.applied
         assert outcome.detections >= 1
         assert outcome.recovery_cost["adr_invalid"] >= 1
+
+    @pytest.mark.parametrize("seed", [11, 3009, 6009])
+    def test_adr_truncation_of_stale_equal_tail_is_no_fault(self, seed):
+        # At these seeds the 1-line budget drops only the blob's zero
+        # tail, which equals the block's stale bytes: nothing durable
+        # changed, so the fault did not apply and needs no detection.
+        specs = fault_grid(designs=[Design.ATOM, Design.ATOM_OPT],
+                           workloads=["hash"], models=[AdrTruncation()],
+                           crash_cycles=[2_000], seeds=(seed,),
+                           checksums=True)
+        assert len(specs) == 2
+        for spec in specs:
+            outcome = execute_fault_point(spec)
+            assert outcome.ok, outcome.error
+            assert not outcome.applied
 
     def test_log_corruption_detected(self):
         found = None
