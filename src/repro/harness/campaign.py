@@ -116,10 +116,9 @@ def _run_worker(spec: RunSpec) -> tuple:
                        f"{traceback.format_exc()}")
 
 
-def _crash_worker(spec: "CrashSpec", keep_prefix: bool = True) -> tuple:
+def _crash_worker(spec: "CrashSpec") -> tuple:
     try:
-        return ("ok", _crash_outcome_dict(
-            execute_crash_point(spec, keep_prefix=keep_prefix)))
+        return ("ok", _crash_outcome_dict(execute_crash_point(spec)))
     except BaseException as exc:  # noqa: BLE001
         return ("err", f"{spec!r}\n{type(exc).__name__}: {exc}\n"
                        f"{traceback.format_exc()}")
@@ -845,8 +844,7 @@ class Campaign:
         Points go out grouped by prefix key, in increasing crash cycle,
         so each process advances one held prefix per group (see
         :func:`execute_crash_point`); outcomes come back in submission
-        order.  Run inline, the last point of a group crashes the held
-        machine in place instead of forking.
+        order.  This process holds no prefix before or after the batch.
         """
         specs = list(specs)
         keys = [_prefix_key(s) for s in specs]
@@ -855,16 +853,9 @@ class Campaign:
             first.setdefault(key, i)
         order = sorted(range(len(specs)),
                        key=lambda i: (first[keys[i]], specs[i].crash_cycle))
-        worker = _crash_worker
-        if self.jobs == 1:
-            last = {id(specs[i]) for i, j in zip(order, order[1:] + [None])
-                    if j is None or keys[j] != keys[i]}
-
-            def worker(spec):
-                return _crash_worker(spec, keep_prefix=id(spec) not in last)
-
+        release_prefix()
         try:
-            done = self._map([specs[i] for i in order], worker,
+            done = self._map([specs[i] for i in order], _crash_worker,
                              _crash_outcome_from_dict, "crash")
         finally:
             release_prefix()
@@ -991,7 +982,9 @@ class _Prefix:
 
 #: This process's held prefix (see :func:`execute_crash_point`).  It is
 #: per process, not per campaign, because pool workers reach points
-#: only through the top-level :func:`_crash_worker`.
+#: only through the top-level :func:`_crash_worker`.  A pool worker
+#: keeps its last prefix machine alive until it gets a point with
+#: another key or its campaign closes the pool.
 _held: _Prefix | None = None
 
 
@@ -1003,17 +996,15 @@ def release_prefix() -> None:
         held.system.image.recycle()
 
 
-def execute_crash_point(spec: CrashSpec, *,
-                        keep_prefix: bool = True) -> CrashOutcome:
+def execute_crash_point(spec: CrashSpec) -> CrashOutcome:
     """Run one crash point on this process's shared prefix and check it.
 
     Exactly equivalent to a fresh :func:`repro.harness.testbed.crash_run`
     per point; cheaper when consecutive points share a prefix key and
     come in increasing crash cycle, the order
     :meth:`Campaign.run_crash` dispatches them in.  Relies on
-    ``os.fork``.  ``keep_prefix=False`` says no later point will share
-    the prefix: the held machine is then crashed in place, saving the
-    fork, and released.
+    ``os.fork``.  The prefix stays held after the call; a caller done
+    with its points drops it with :func:`release_prefix`.
 
     A failed differential check (or a modelled-hardware deadlock) is an
     *outcome*, not an infrastructure error — it is recorded with
@@ -1045,14 +1036,7 @@ def execute_crash_point(spec: CrashSpec, *,
     except BaseException:
         release_prefix()
         raise
-    if keep_prefix:
-        return CrashOutcome(spec=spec, **_check_in_child(spec, held))
-    _held = None
-    try:
-        return CrashOutcome(spec=spec,
-                            **_check_point(held.system, held.workload))
-    finally:
-        held.system.image.recycle()
+    return CrashOutcome(spec=spec, **_check_in_child(spec, held))
 
 
 def _check_point(system, workload) -> dict:

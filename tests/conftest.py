@@ -6,6 +6,20 @@ import pytest
 
 from helpers import build_system
 from repro.config import Design
+from repro.harness.campaign import release_prefix
+
+
+@pytest.fixture(autouse=True)
+def _no_held_crash_prefix():
+    """Drop any crash-sweep prefix machine a test leaves held.
+
+    A held machine would otherwise outlive its test: it enlarges every
+    later fork, and it keeps hooks bound at build time, so a later test
+    that patches ``System`` could be served a machine built without the
+    patch.
+    """
+    yield
+    release_prefix()
 
 
 @pytest.fixture

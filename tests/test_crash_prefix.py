@@ -3,9 +3,9 @@
 :func:`repro.harness.campaign.execute_crash_point` keeps one live prefix
 machine per process, advances it from crash cycle to crash cycle and
 forks a child per point.  Every outcome must equal the one a fresh
-per-point :func:`repro.harness.testbed.crash_run` gives, whatever order
-the points come in.  The pause that both paths advance with must in
-turn equal the classic crash scheduled before the run.
+machine per point gives with its crash scheduled before the run
+(``System.crash_at``), a path that never pauses, whatever order the
+points come in.  The pause itself must equal that scheduled crash.
 """
 
 from __future__ import annotations
@@ -29,34 +29,63 @@ from repro.harness.campaign import (
     execute_crash_point,
     release_prefix,
 )
-from repro.harness.testbed import build_prefix, crash_run
+from repro.harness.testbed import (
+    CRASH_MAX_CYCLES,
+    advance,
+    build_prefix,
+    crash_run,
+)
 from repro.runtime.system import System
 
 #: Past every workload's completion on the scaled-down machine.
 PAST_COMPLETION = 25_000_000
 
+#: The grid slice that the order, seed and pool cases run on.
+SUBSET = dict(designs=[Design.ATOM, Design.REDO],
+              workloads=["queue", "sps"], seeds=(7, 107))
+
 
 def reference(spec: CrashSpec) -> CrashOutcome:
-    """The unshared path: one fresh machine per point."""
+    """The unshared path: a fresh machine with its crash scheduled."""
     try:
-        system, workload, report = crash_run(
-            spec.workload, spec.design, spec.crash_cycle, seed=spec.seed,
+        system, workload = build_prefix(
+            spec.workload, spec.design, seed=spec.seed,
             entry_bytes=spec.entry_bytes, threads=spec.threads,
             txns_per_thread=spec.txns_per_thread,
             initial_items=spec.initial_items, num_cores=spec.num_cores,
             **spec.workload_kw,
         )
+        system.crash_at(spec.crash_cycle)
+        system.run(max_cycles=CRASH_MAX_CYCLES)
+        if not system.crashed:
+            # Every thread finished first: cut power where it stopped.
+            system.crash()
+        report = system.recover()
+        workload.verify_durable()
     except (WorkloadError, SimulationError) as exc:
         return CrashOutcome(spec=spec, ok=False,
                             error=f"{type(exc).__name__}: {exc}")
-    cost = getattr(report, "cost", None)
     outcome = CrashOutcome(
         spec=spec, ok=True, commits=workload.commits,
-        updates_rolled_back=getattr(report, "updates_rolled_back", 0),
-        recovery_cost=cost.to_dict() if cost is not None else {},
+        updates_rolled_back=report.updates_rolled_back,
+        recovery_cost=report.cost.to_dict(),
     )
     system.image.recycle()
     return outcome
+
+
+@pytest.fixture(scope="module")
+def refs():
+    """Reference outcomes, computed once per spec for the module."""
+    memo: dict[str, CrashOutcome] = {}
+
+    def outcomes(specs: list[CrashSpec]) -> list[CrashOutcome]:
+        for spec in specs:
+            if repr(spec) not in memo:
+                memo[repr(spec)] = reference(spec)
+        return [memo[repr(spec)] for spec in specs]
+
+    return outcomes
 
 
 def direct(specs: list[CrashSpec]) -> list[CrashOutcome]:
@@ -82,55 +111,39 @@ def finish_cycle(spec: CrashSpec) -> int:
     return system.engine.now
 
 
-@pytest.fixture(scope="module")
-def default_refs():
-    """Reference outcomes of the default grid, per seed."""
-    return {seed: [reference(s) for s in crash_grid(seeds=(seed,))]
-            for seed in (7, 107)}
-
-
 class TestSharedPrefixMatchesReference:
-    @pytest.mark.parametrize("seed", [7, 107])
-    def test_default_grid(self, seed, default_refs):
-        with Campaign(jobs=1) as campaign:
-            shared = campaign.run_crash(crash_grid(seeds=(seed,)))
-        assert_same(shared, default_refs[seed])
-
-    def test_shuffled_grid(self, default_refs):
+    def test_default_grid(self, refs):
         specs = crash_grid()
-        order = list(range(len(specs)))
-        random.Random(3).shuffle(order)
-        shuffled = [specs[i] for i in order]
-        ref = [default_refs[7][i] for i in order]
+        with Campaign(jobs=1) as campaign:
+            assert_same(campaign.run_crash(specs), refs(specs))
+
+    def test_multi_seed_grid(self, refs):
+        specs = crash_grid(**SUBSET)
+        assert [s.seed for s in specs[:2]] == [7, 107]  # seeds innermost
+        with Campaign(jobs=1) as campaign:
+            assert_same(campaign.run_crash(specs), refs(specs))
+
+    def test_shuffled_grid(self, refs):
+        specs = crash_grid(**SUBSET)
+        random.Random(3).shuffle(specs)
         # Through the campaign: grouped for dispatch, returned in
         # submission order.
         with Campaign(jobs=1) as campaign:
-            assert_same(campaign.run_crash(shuffled), ref)
+            assert_same(campaign.run_crash(specs), refs(specs))
         # Point by point: crash cycles go backwards, so prefixes are
         # rebuilt as often as they are shared.
-        few = [i for i, s in enumerate(shuffled)
-               if s.workload in ("hash", "sps")]
-        assert_same(direct([shuffled[i] for i in few]),
-                    [ref[i] for i in few])
+        assert_same(direct(specs), refs(specs))
 
-    def test_multi_seed_grid(self):
-        specs = crash_grid(designs=[Design.ATOM_OPT, Design.REDO],
-                           workloads=["hash", "queue"], seeds=(7, 8))
-        with Campaign(jobs=1) as campaign:
-            shared = campaign.run_crash(specs)
-        assert_same(shared, [reference(s) for s in specs])
-
-    def test_repeated_crash_cycle(self):
+    def test_repeated_crash_cycle(self, refs):
         specs = [CrashSpec(design=design, workload="rbtree",
                            crash_cycle=cycle)
                  for design in (Design.ATOM, Design.REDO)
                  for cycle in (6_000, 6_000, 10_000, 10_000, 6_000)]
-        ref = [reference(s) for s in specs]
         with Campaign(jobs=1) as campaign:
-            assert_same(campaign.run_crash(specs), ref)
-        assert_same(direct(specs), ref)
+            assert_same(campaign.run_crash(specs), refs(specs))
+        assert_same(direct(specs), refs(specs))
 
-    def test_crash_cycle_past_completion(self):
+    def test_crash_cycle_past_completion(self, refs):
         base = CrashSpec(design=Design.ATOM_OPT, workload="hash",
                          crash_cycle=0)
         finish = finish_cycle(base)
@@ -141,10 +154,9 @@ class TestSharedPrefixMatchesReference:
         cycles = [PAST_COMPLETION, PAST_COMPLETION + 1, finish,
                   finish + 1, finish - 1, PAST_COMPLETION, 12_000]
         specs = [dataclasses.replace(base, crash_cycle=c) for c in cycles]
-        ref = [reference(s) for s in specs]
-        assert_same(direct(specs), ref)
+        assert_same(direct(specs), refs(specs))
         with Campaign(jobs=1) as campaign:
-            assert_same(campaign.run_crash(specs), ref)
+            assert_same(campaign.run_crash(specs), refs(specs))
 
     def test_run_raising_simulation_error(self, monkeypatch):
         hook = System._commit_hook
@@ -165,31 +177,26 @@ class TestSharedPrefixMatchesReference:
         with Campaign(jobs=1) as campaign:
             assert_same(campaign.run_crash(specs), ref)
 
-    def test_pool_jobs_2(self):
-        specs = crash_grid(designs=[Design.BASE, Design.ATOM_OPT],
-                           workloads=["sdg", "btree"], seeds=(7, 8))
+    def test_pool_jobs_2(self, refs):
+        specs = crash_grid(**dict(SUBSET, seeds=(7,)))
         with Campaign(jobs=2) as campaign:
-            shared = campaign.run_crash(specs)
-        assert_same(shared, [reference(s) for s in specs])
+            assert_same(campaign.run_crash(specs), refs(specs))
 
-
-    def test_last_point_crashes_in_place(self):
-        specs = [CrashSpec(design=Design.REDO, workload="sps",
-                           crash_cycle=cycle)
-                 for cycle in (6_000, 10_000, 14_000)]
-        try:
-            shared = [execute_crash_point(specs[0]),
-                      execute_crash_point(specs[1], keep_prefix=False)]
-            assert campaign_mod._held is None  # crashed, not kept
-            shared.append(execute_crash_point(specs[2]))
-        finally:
-            release_prefix()
-        assert_same(shared, [reference(s) for s in specs])
+    def test_campaign_holds_no_prefix(self):
+        spec = CrashSpec(design=Design.ATOM, workload="hash",
+                         crash_cycle=6_000)
+        execute_crash_point(spec)
+        assert campaign_mod._held is not None
+        with Campaign(jobs=1) as campaign:
+            campaign.run_crash([dataclasses.replace(spec,
+                                                    crash_cycle=10_000)])
+        assert campaign_mod._held is None
 
 
 class TestPauseMatchesScheduledCrash:
-    """The pause both paths advance with equals a crash scheduled before
-    the run, including at cycles that events queued during build share."""
+    """The pause that ``crash_run`` and the shared path advance with
+    equals a crash scheduled before the run, including at cycles that
+    events queued during build or an earlier advance share."""
 
     @pytest.mark.parametrize("design", [Design.ATOM_OPT, Design.REDO])
     @pytest.mark.parametrize("cycle", [0, 1, 50, 2_000, 10_000])
@@ -210,6 +217,24 @@ class TestPauseMatchesScheduledCrash:
                 == scheduled.image.durable_digest())
         paused.image.recycle()
         scheduled.image.recycle()
+
+    @pytest.mark.parametrize("design", [Design.ATOM, Design.REDO])
+    def test_consecutive_pauses(self, design):
+        # One cycle apart, most pauses land on a cycle that already has
+        # events queued by the previous advance; a crash scheduled
+        # before the run fires ahead of all of them, so must the pause.
+        paused, _ = build_prefix("hash", design)
+        for n, cycle in enumerate(range(1_990, 2_030)):
+            assert advance(paused, cycle)
+            scheduled, _ = build_prefix("hash", design)
+            scheduled.crash_at(cycle)
+            scheduled.run(max_cycles=CRASH_MAX_CYCLES)
+            assert paused.engine.now == scheduled.engine.now == cycle
+            # Each earlier pause was one dispatched event of its own.
+            assert (paused.engine.events_dispatched - n
+                    == scheduled.engine.events_dispatched)
+            scheduled.image.recycle()
+        paused.image.recycle()
 
 
 class TestChildDiscipline:
