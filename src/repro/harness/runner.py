@@ -110,7 +110,9 @@ def run_spec(spec: RunSpec, *, instrument=None) -> RunResult:
         seed=spec.seed,
         **spec.workload_kw,
     )
-    workload.setup()
+    # The populate does not depend on the design: the designs of one
+    # figure row share it (see "Populate once" in the README).
+    workload.setup(key=repr(replace(spec, design=Design.BASE)))
 
     threads = spec.threads or spec.num_cores
     warmup_total = spec.warmup_per_thread * threads

@@ -335,6 +335,60 @@ class MemoryImage:
 
     # -- whole-image operations --------------------------------------------
 
+    def touched_runs(self) -> list[tuple[int, bytes]]:
+        """Every touched line as ``(base, bytes)`` runs of adjacent lines.
+
+        The compact form of a pre-populated image, whose setup stores
+        all went to both planes: it is defined only while the planes
+        touched the same lines with the same bytes, and raises
+        otherwise.  :meth:`load_runs` rebuilds the image from it.
+        """
+        if self._vol_touched != self._dur_touched:
+            raise MemoryError_("planes touched different lines")
+        touched = self._dur_touched
+        lines = sorted(touched)
+        line = CACHE_LINE_BYTES
+        # A run starts at every line whose predecessor was not touched
+        # and ends after every line whose successor was not.
+        starts = [b for b in lines if b - line not in touched]
+        ends = [b + line for b in lines if b + line not in touched]
+        runs = []
+        for start, end in zip(starts, ends):
+            data = self._durable[start:end]
+            if self._volatile[start:end] != data:
+                raise MemoryError_(
+                    f"planes differ in [{start:#x}, {end:#x})"
+                )
+            runs.append((start, bytes(data)))
+        return runs
+
+    def load_runs(self, runs: list[tuple[int, bytes]]) -> None:
+        """Write :meth:`touched_runs` output into both planes.
+
+        The image must be unwritten, so that afterwards it equals the
+        image the runs were taken from: the same bytes, the same
+        touched sets and, with the checksum plane, the same checksums
+        (each line's checksum describes its last persist, which left
+        the bytes the runs hold).
+        """
+        if self._vol_touched or self._dur_touched:
+            raise MemoryError_("load_runs needs an unwritten image")
+        touched = self._vol_touched
+        line = CACHE_LINE_BYTES
+        for start, data in runs:
+            end = start + len(data)
+            self._check(start, len(data))
+            self._volatile[start:end] = data
+            self._durable[start:end] = data
+            touched.update(range(start, end, line))
+        self._dur_touched = set(touched)
+        if self.line_checksums:
+            crc = zlib.crc32
+            dur = self._dur_view
+            self._line_crc = {
+                base: crc(dur[base : base + line]) for base in touched
+            }
+
     def sync_all(self) -> None:
         """Make the durable image identical to the volatile image.
 

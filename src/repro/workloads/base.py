@@ -27,6 +27,8 @@ Key design points:
 
 from __future__ import annotations
 
+import io
+import pickle
 import random
 import struct
 from dataclasses import dataclass
@@ -87,8 +89,31 @@ class Workload:
 
     # -- setup ---------------------------------------------------------------
 
-    def setup(self) -> None:
-        """Build the initial structures functionally (state pre-flushed)."""
+    def setup(self, key=None) -> None:
+        """Build the initial structures functionally (state pre-flushed).
+
+        ``key``, when given, names everything the populate depends on
+        besides the workload class and the image geometry, which are
+        added to it: equal keys promise an identical populate.  The
+        last keyed populate in the process is kept as a snapshot, and
+        a setup with the same key restores it instead of populating
+        again (see "Populate once" in the README).
+        """
+        global _memo
+        if key is None:
+            self._populate()
+            return
+        key = (type(self), self.image.size_bytes, self.image.line_checksums,
+               key)
+        if _memo is not None and _memo.key == key:
+            _memo.restore(self)
+            return
+        # Drop the old snapshot first: two are never alive at once.
+        _memo = None
+        self._populate()
+        _memo = _Snapshot.take(key, self)
+
+    def _populate(self) -> None:
         driver = DirectDriver(self.image, durable=True)
         for tid in range(self.threads_count):
             self._setup_thread(tid, driver)
@@ -137,3 +162,67 @@ class Workload:
     def check(self, condition: bool, message: str) -> None:
         if not condition:
             raise WorkloadError(f"{self.name}: {message}")
+
+
+# -- populate once ---------------------------------------------------------------
+
+#: Attributes that belong to the machine a workload runs on, not to the
+#: populate: a restore keeps the new machine's.
+_MACHINE = ("system", "heap", "image")
+
+
+class _MachinePickler(pickle.Pickler):
+    """Pickles workload state with the machine's objects as placeholders."""
+
+    def __init__(self, file, workload: Workload):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._names = {id(getattr(workload, n)): n for n in _MACHINE}
+
+    def persistent_id(self, obj):
+        return self._names.get(id(obj))
+
+
+class _MachineUnpickler(pickle.Unpickler):
+    """Re-binds the placeholders to another workload's machine."""
+
+    def __init__(self, file, workload: Workload):
+        super().__init__(file)
+        self._workload = workload
+
+    def persistent_load(self, pid):
+        return getattr(self._workload, pid)
+
+
+@dataclass
+class _Snapshot:
+    """One keyed populate: its image lines, heap state and workload state."""
+
+    key: tuple
+    #: The populated lines (:meth:`MemoryImage.touched_runs`).
+    runs: list
+    #: Pickled ``(heap.__dict__, workload state)``.
+    state: bytes
+
+    @classmethod
+    def take(cls, key: tuple, workload: Workload) -> "_Snapshot":
+        own = {k: v for k, v in vars(workload).items() if k not in _MACHINE}
+        buf = io.BytesIO()
+        _MachinePickler(buf, workload).dump((vars(workload.heap), own))
+        return cls(key, workload.image.touched_runs(), buf.getvalue())
+
+    def restore(self, workload: Workload) -> None:
+        workload.image.load_runs(self.runs)
+        heap, own = _MachineUnpickler(io.BytesIO(self.state), workload).load()
+        vars(workload.heap).update(heap)
+        vars(workload).update(own)
+
+
+#: The last keyed populate in this process (one entry: figure grids are
+#: benchmark-major, so the designs of one row follow each other).
+_memo: _Snapshot | None = None
+
+
+def clear_populate_memo() -> None:
+    """Drop the kept populate snapshot."""
+    global _memo
+    _memo = None

@@ -44,7 +44,7 @@ class TpccWorkload(Workload):
 
     # -- setup ---------------------------------------------------------------------
 
-    def setup(self) -> None:
+    def _populate(self) -> None:
         driver = DirectDriver(self.image, durable=True)
         driver.run(self.tables.create_all())
         driver.run(self.tables.populate(self.rngs[0]))
@@ -53,7 +53,7 @@ class TpccWorkload(Workload):
                 self.golden_next_o_id[self.tables.key_wd(w, d)] = 3001
 
     def _setup_thread(self, tid: int, driver) -> None:  # pragma: no cover
-        raise NotImplementedError("TPC-C shares tables; see setup()")
+        raise NotImplementedError("TPC-C shares tables; see _populate()")
 
     # -- locks ------------------------------------------------------------------------
 

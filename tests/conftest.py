@@ -7,6 +7,7 @@ import pytest
 from helpers import build_system
 from repro.config import Design
 from repro.harness.campaign import release_prefix
+from repro.workloads.base import clear_populate_memo
 
 
 @pytest.fixture(autouse=True)
@@ -20,6 +21,17 @@ def _no_held_crash_prefix():
     """
     yield
     release_prefix()
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_populate():
+    """Drop the populate snapshot a test leaves behind.
+
+    A later test that patches a workload's ``_setup_thread`` would
+    otherwise be served state built without the patch.
+    """
+    yield
+    clear_populate_memo()
 
 
 @pytest.fixture
