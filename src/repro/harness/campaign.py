@@ -47,7 +47,7 @@ from repro.common.log import get_logger
 from repro.config import Design
 from repro.harness.cache import ResultCache, spec_key
 from repro.harness.report import describe_spec, format_table, mean_ci
-from repro.harness.runner import RunResult, RunSpec, run_spec
+from repro.harness.runner import RunResult, RunSpec, populate_key, run_spec
 from repro.harness.supervise import FailedOutcome, RetryPolicy
 from repro.obs.fabric import FabricTelemetry
 
@@ -103,17 +103,22 @@ def result_from_dict(payload: dict) -> RunResult:
 # than an unpicklable exception or a hung pool.
 
 
-def _execute_run(spec: RunSpec) -> RunResult:
+def _execute_run(spec: RunSpec, keep_populate: bool = False) -> RunResult:
     """Run one simulation point (also the determinism-test target)."""
-    return run_spec(spec)
+    return run_spec(spec, keep_populate=keep_populate)
 
 
-def _run_worker(spec: RunSpec) -> tuple:
+def _run_worker(spec: RunSpec, keep_populate: bool = False) -> tuple:
     try:
-        return ("ok", result_to_dict(_execute_run(spec)))
+        return ("ok", result_to_dict(_execute_run(spec, keep_populate)))
     except BaseException as exc:  # noqa: BLE001 — reported in the parent
         return ("err", f"{spec!r}\n{type(exc).__name__}: {exc}\n"
                        f"{traceback.format_exc()}")
+
+
+def _run_keeping_worker(spec: RunSpec) -> tuple:
+    """:func:`_run_worker` for a point whose populate the next one shares."""
+    return _run_worker(spec, keep_populate=True)
 
 
 def _crash_worker(spec: "CrashSpec") -> tuple:
@@ -319,6 +324,9 @@ class WorkerPool:
     def map(self, specs: Sequence, worker, kind: str = "task") -> list[tuple]:
         """Run ``worker`` over ``specs`` on the pool; order-preserving.
 
+        ``worker`` is one function for every spec or a list with one
+        function per spec.
+
         Every reply is ``(status, payload)``: ``"ok"``/``"err"`` from
         the worker function itself, or ``"failed"`` synthesised here for
         a quarantined poison task.  The batch always completes — worker
@@ -330,6 +338,7 @@ class WorkerPool:
         retry = self.retry
         tel = self.telemetry
         total = len(specs)
+        workers = worker if isinstance(worker, list) else [worker] * total
         out: list = [None] * total
         done = [False] * total
         attempts = [0] * total
@@ -402,7 +411,7 @@ class WorkerPool:
 
         while remaining:
             if self._degraded or not self._workers:
-                self._finish_inline(specs, worker, done, finish)
+                self._finish_inline(specs, workers, done, finish)
                 break
             now = time.monotonic()
             while delayed and delayed[0][0] <= now:
@@ -417,7 +426,8 @@ class WorkerPool:
                         continue
                     try:
                         w.conn.send_bytes(pickle.dumps(
-                            (index, attempts[index], worker, specs[index]),
+                            (index, attempts[index], workers[index],
+                             specs[index]),
                             pickle.HIGHEST_PROTOCOL,
                         ))
                     except (OSError, ValueError):
@@ -479,14 +489,14 @@ class WorkerPool:
                     )
         return out
 
-    def _finish_inline(self, specs, worker, done, finish) -> None:
+    def _finish_inline(self, specs, workers, done, finish) -> None:
         """Degraded mode: execute every unfinished task in-process."""
         for index in range(len(specs)):
             if done[index]:
                 continue
             self.telemetry.emit("inline-exec", task=index)
             try:
-                reply = worker(specs[index])
+                reply = workers[index](specs[index])
             except BaseException as exc:  # noqa: BLE001
                 reply = ("err", f"{specs[index]!r}\n"
                                 f"{type(exc).__name__}: {exc}\n"
@@ -685,7 +695,11 @@ class Campaign:
     # -- generic cached fan-out ----------------------------------------------
 
     def _map(self, specs: Sequence, worker, from_dict, kind: str) -> list:
-        """Resolve each spec via cache or worker pool; order-preserving."""
+        """Resolve each spec via cache or worker pool; order-preserving.
+
+        ``worker`` is one function for every spec or a list with one
+        function per spec.
+        """
         tel = self.telemetry
         tel.begin_batch(len(specs), kind)
         try:
@@ -740,10 +754,12 @@ class Campaign:
                 if key is not None:
                     primary[key] = i
                 todo_indices.append(i)
+            workers = (worker if isinstance(worker, list)
+                       else [worker] * len(specs))
             replies = dict(zip(
                 todo_indices,
-                self._dispatch([pending[i] for i in todo_indices], worker,
-                               kind),
+                self._dispatch([pending[i] for i in todo_indices],
+                               [workers[i] for i in todo_indices], kind),
             ))
             for i, (status, payload) in replies.items():
                 if status == "failed":
@@ -765,18 +781,18 @@ class Campaign:
                 out[i] = out[src]
         return out
 
-    def _dispatch(self, specs: list, worker, kind: str) -> list[tuple]:
+    def _dispatch(self, specs: list, workers: list, kind: str) -> list[tuple]:
         if self.jobs == 1 or len(specs) == 1:
             tel = self.telemetry
             out = []
             for i, s in enumerate(specs):
                 tel.task_dispatched(i, 0, kind=kind, mode="inline")
-                reply = worker(s)
+                reply = workers[i](s)
                 tel.task_finished(i, status=reply[0], kind=kind,
                                   attempts=1)
                 out.append(reply)
             return out
-        return self.pool().map(specs, worker, kind=kind)
+        return self.pool().map(specs, workers, kind=kind)
 
     def _failed_outcome(self, kind: str, spec, info: dict):
         """Fold a quarantined task into the kind's outcome type.
@@ -811,18 +827,28 @@ class Campaign:
 
         With ``seeds > 1`` every spec is expanded into seed replicas
         (all sharing the pool and the cache) and the aggregated result
-        is returned per original spec.
+        is returned per original spec.  The batch runs once per seed, so
+        consecutive specs that share a populate (the designs of a figure
+        row) stay consecutive; a point keeps its populate for the next
+        one only when the two share it (see "Populate once" in the
+        README).
         """
         specs = list(specs)
+        n = len(specs)
         expanded: list[RunSpec] = [
             replace(spec, seed=spec.seed + k)
-            for spec in specs
             for k in range(self.seeds)
+            for spec in specs
         ]
-        flat = self._map(expanded, _run_worker, result_from_dict, "run")
+        keys = [populate_key(s) for s in expanded]
+        workers = [
+            _run_keeping_worker if key == after else _run_worker
+            for key, after in zip(keys, keys[1:] + [None])
+        ]
+        flat = self._map(expanded, workers, result_from_dict, "run")
         return [
-            aggregate_results(flat[i * self.seeds:(i + 1) * self.seeds])
-            for i in range(len(specs))
+            aggregate_results(flat[i::n])
+            for i in range(n)
         ]
 
     def run_one(self, spec: RunSpec) -> RunResult:

@@ -89,20 +89,9 @@ def build_config(spec: RunSpec) -> SystemConfig:
     return cfg.validate()
 
 
-def run_spec(spec: RunSpec, *, instrument=None) -> RunResult:
-    """Execute one run and return its measurement-window results.
-
-    ``instrument``, when given, is called with the built ``System``
-    before any thread starts — the hook the observability layer uses
-    to install a :class:`~repro.obs.trace.Tracer` or
-    :class:`~repro.obs.sample.StatSampler` without perturbing the run.
-    """
-    system = System(build_config(spec))
-    if instrument is not None:
-        instrument(system)
-    workload = make_workload(
-        spec.workload,
-        system,
+def _workload_args(spec: RunSpec) -> dict:
+    """The keyword arguments ``run_spec`` builds the workload with."""
+    return dict(
         entry_bytes=spec.entry_bytes,
         txns_per_thread=spec.txns_per_thread,
         threads=spec.threads,
@@ -110,9 +99,39 @@ def run_spec(spec: RunSpec, *, instrument=None) -> RunResult:
         seed=spec.seed,
         **spec.workload_kw,
     )
-    # The populate does not depend on the design: the designs of one
-    # figure row share it (see "Populate once" in the README).
-    workload.setup(key=repr(replace(spec, design=Design.BASE)))
+
+
+def populate_key(spec: RunSpec) -> tuple:
+    """The fields of ``spec`` that the workload's populate reads.
+
+    The workload's name and constructor arguments, and the core count
+    (the heap has one arena per core).  The design, channels, latency,
+    log overrides, warm-up and cycle cap do not change the populated
+    image, so points that differ only in those share one populate
+    (see "Populate once" in the README).
+    """
+    return (spec.workload, spec.num_cores,
+            sorted(_workload_args(spec).items()))
+
+
+def run_spec(spec: RunSpec, *, instrument=None,
+             keep_populate: bool = False) -> RunResult:
+    """Execute one run and return its measurement-window results.
+
+    ``instrument``, when given, is called with the built ``System``
+    before any thread starts — the hook the observability layer uses
+    to install a :class:`~repro.obs.trace.Tracer` or
+    :class:`~repro.obs.sample.StatSampler` without perturbing the run.
+
+    The populate is restored when the last point that kept one had the
+    same :func:`populate_key`; ``keep_populate`` keeps this point's for
+    the next, and is worth its cost only when the next point shares it.
+    """
+    system = System(build_config(spec))
+    if instrument is not None:
+        instrument(system)
+    workload = make_workload(spec.workload, system, **_workload_args(spec))
+    workload.setup(key=populate_key(spec), keep=keep_populate)
 
     threads = spec.threads or spec.num_cores
     warmup_total = spec.warmup_per_thread * threads

@@ -89,29 +89,34 @@ class Workload:
 
     # -- setup ---------------------------------------------------------------
 
-    def setup(self, key=None) -> None:
+    def setup(self, key=None, keep: bool = False) -> None:
         """Build the initial structures functionally (state pre-flushed).
 
         ``key``, when given, names everything the populate depends on
-        besides the workload class and the image geometry, which are
-        added to it: equal keys promise an identical populate.  The
-        last keyed populate in the process is kept as a snapshot, and
-        a setup with the same key restores it instead of populating
-        again (see "Populate once" in the README).
+        besides the workload class and the machine geometry, which are
+        added to it: equal keys promise an identical populate.  A setup
+        whose key equals the kept snapshot's restores it instead of
+        populating again.  ``keep`` keeps this setup's populate as the
+        snapshot for the next keyed setup; without it the snapshot is
+        dropped.  Taking one pays only if the next setup has the same
+        key (see "Populate once" in the README).
         """
         global _memo
         if key is None:
             self._populate()
             return
         key = (type(self), self.image.size_bytes, self.image.line_checksums,
-               key)
+               self.heap.data_bytes, self.heap.arenas, key)
         if _memo is not None and _memo.key == key:
             _memo.restore(self)
-            return
-        # Drop the old snapshot first: two are never alive at once.
-        _memo = None
-        self._populate()
-        _memo = _Snapshot.take(key, self)
+        else:
+            # Drop the old snapshot first: two are never alive at once.
+            _memo = None
+            self._populate()
+            if keep:
+                _memo = _Snapshot.take(key, self)
+        if not keep:
+            _memo = None
 
     def _populate(self) -> None:
         driver = DirectDriver(self.image, durable=True)
@@ -217,7 +222,7 @@ class _Snapshot:
         vars(workload).update(own)
 
 
-#: The last keyed populate in this process (one entry: figure grids are
+#: The last kept populate in this process (one entry: figure grids are
 #: benchmark-major, so the designs of one row follow each other).
 _memo: _Snapshot | None = None
 

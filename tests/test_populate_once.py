@@ -1,10 +1,12 @@
 """Populate once: a restored keyed populate equals a fresh one.
 
-``Workload.setup(key=...)`` keeps the last keyed populate in the process
-and restores it for the next setup with the same key, whatever the
-design of the machine it lands on.  Each restore must leave the image,
-the heap and the workload exactly as a fresh populate would, and a run
-that starts from a restore must measure exactly what a cold run does.
+``Workload.setup(key=..., keep=True)`` keeps its populate as the one
+snapshot in the process, and the next setup with the same key restores
+it, whatever the design of the machine it lands on.  Each restore must
+leave the image, the heap and the workload exactly as a fresh populate
+would, and a run that starts from a restore must measure exactly what a
+cold run does.  ``Campaign.run`` keeps a populate only for a point whose
+successor shares it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import repro.workloads.base as base
 from helpers import build_system
 from repro.common.errors import MemoryError_
 from repro.config import Design
+from repro.harness.campaign import Campaign, aggregate_results
 from repro.harness.runner import RunSpec, run_spec
 from repro.mem.image import MemoryImage
 from repro.runtime.heap import Heap
@@ -32,13 +35,13 @@ WORKLOAD_KW = {"tpcc": {"scale": TpccScale(items=20,
                                            customers_per_district=5)}}
 
 
-def populated(name: str, design: Design, key=None,
+def populated(name: str, design: Design, key=None, keep: bool = True,
               line_checksums: bool = False) -> Workload:
     system = build_system(design=design, line_checksums=line_checksums)
     workload = make_workload(name, system, entry_bytes=256,
                              initial_items=12, seed=5,
                              **WORKLOAD_KW.get(name, {}))
-    workload.setup(key=key)
+    workload.setup(key=key, keep=keep and key is not None)
     return workload
 
 
@@ -98,14 +101,6 @@ def _spec(design: Design, **kw) -> RunSpec:
     return RunSpec(design=design, **fields)
 
 
-def test_warm_run_equals_cold_run():
-    cold = run_spec(_spec(Design.ATOM_OPT))
-    clear_populate_memo()
-    run_spec(_spec(Design.BASE))
-    warm = run_spec(_spec(Design.ATOM_OPT))
-    assert asdict(warm) == asdict(cold)
-
-
 @pytest.fixture
 def populates(monkeypatch):
     """Count the populates that actually run."""
@@ -120,18 +115,74 @@ def populates(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def takes(monkeypatch):
+    """Count the snapshots taken."""
+    calls = []
+    inner = base._Snapshot.take.__func__
+
+    def counted(cls, key, workload):
+        calls.append(type(workload).name)
+        return inner(cls, key, workload)
+
+    monkeypatch.setattr(base._Snapshot, "take", classmethod(counted))
+    return calls
+
+
+def test_warm_run_equals_cold_run(populates):
+    cold = run_spec(_spec(Design.ATOM_OPT))
+    clear_populate_memo()
+    run_spec(_spec(Design.BASE), keep_populate=True)
+    warm = run_spec(_spec(Design.ATOM_OPT))
+    assert len(populates) == 2
+    assert asdict(warm) == asdict(cold)
+
+
 @pytest.mark.parametrize("change", [
+    dict(workload="queue"),
     dict(seed=4),
     dict(initial_items=9),
     dict(entry_bytes=256),
+    dict(num_cores=8),
+    dict(threads=2),
+    dict(txns_per_thread=5),
     dict(workload_kw={"n_buckets": 32}),
+    dict(workload_kw={"compute_cycles": 41}),
 ])
 def test_any_populate_input_change_misses(populates, change):
-    run_spec(_spec(Design.BASE))
-    run_spec(_spec(Design.ATOM))
+    run_spec(_spec(Design.BASE), keep_populate=True)
+    run_spec(_spec(Design.ATOM), keep_populate=True)
     assert len(populates) == 1
     run_spec(_spec(Design.ATOM, **change))
     assert len(populates) == 2
+
+
+@pytest.mark.parametrize("change", [
+    dict(design=Design.REDO),
+    dict(channels=2),
+    dict(latency_multiplier=5.0),
+    dict(log_overrides={"collation": False}),
+    dict(warmup_per_thread=2),
+    dict(max_cycles=400_000_000),
+])
+def test_machine_only_change_hits_and_measures_as_cold(populates, change):
+    changed = replace(_spec(Design.ATOM), **change)
+    cold = run_spec(changed)
+    clear_populate_memo()
+    run_spec(_spec(Design.ATOM), keep_populate=True)
+    warm = run_spec(changed)
+    assert len(populates) == 2
+    assert asdict(warm) == asdict(cold)
+
+
+def test_setup_keeps_a_snapshot_only_when_asked(populates, takes):
+    populated("hash", Design.BASE, key="row", keep=False)
+    assert base._memo is None
+    populated("hash", Design.BASE, key="row")
+    populated("hash", Design.ATOM, key="row", keep=False)
+    # The restore served the second setup, and nothing was kept after it.
+    assert len(populates) == 2 and len(takes) == 1
+    assert base._memo is None
 
 
 def test_checksum_plane_change_misses(populates):
@@ -177,8 +228,52 @@ def test_restore_needs_an_unwritten_image():
         workload.setup(key="row")
 
 
-def test_key_is_the_spec_without_its_design(populates):
-    spec = _spec(Design.REDO, latency_multiplier=5.0)
-    run_spec(replace(spec, design=Design.NON_ATOMIC))
-    run_spec(spec)
-    assert len(populates) == 1
+ROW_DESIGNS = (Design.BASE, Design.ATOM, Design.ATOM_OPT)
+
+
+def _grid(benchmark_major: bool) -> list[RunSpec]:
+    if benchmark_major:
+        return [_spec(d, workload=w) for w in ("hash", "queue")
+                for d in ROW_DESIGNS]
+    return [_spec(d, workload=w) for d in ROW_DESIGNS
+            for w in ("hash", "queue")]
+
+
+def test_campaign_populates_once_per_row(populates, takes):
+    with Campaign(jobs=1, cache=None) as campaign:
+        results = campaign.run(_grid(benchmark_major=True))
+    assert populates == ["hash", "queue"]
+    assert takes == ["hash", "queue"]
+    assert base._memo is None
+    clear_populate_memo()
+    for spec, result in zip(_grid(benchmark_major=True), results):
+        assert asdict(result) == asdict(run_spec(spec))
+
+
+def test_campaign_takes_no_snapshot_that_no_point_uses(populates, takes):
+    with Campaign(jobs=1, cache=None) as campaign:
+        campaign.run(_grid(benchmark_major=False))
+    assert len(populates) == 6
+    assert takes == []
+
+
+def test_campaign_seed_replicas_keep_rows_together(populates, takes):
+    grid = _grid(benchmark_major=True)
+    with Campaign(jobs=1, seeds=2, cache=None) as campaign:
+        results = campaign.run(grid)
+    # One populate per (benchmark, seed): the designs of a row follow
+    # each other within each seed's pass.
+    assert len(populates) == 4 and len(takes) == 4
+    for spec, result in zip(grid, results):
+        replicas = [run_spec(replace(spec, seed=spec.seed + k))
+                    for k in range(2)]
+        assert asdict(result) == asdict(aggregate_results(replicas))
+
+
+def test_pooled_campaign_matches_inline():
+    grid = _grid(benchmark_major=True)
+    with Campaign(jobs=1, cache=None) as campaign:
+        inline = campaign.run(grid)
+    with Campaign(jobs=2, cache=None) as campaign:
+        pooled = campaign.run(grid)
+    assert [asdict(r) for r in pooled] == [asdict(r) for r in inline]
